@@ -1,7 +1,7 @@
 #!/usr/bin/env sh
 # Tier-1 CI: build + ctest normally (plus telemetry-export, hot-path,
-# crash-recovery, cluster, attack-campaign and correlation smoke runs), then
-# under ASan+UBSan (covers the FlatMap / DomainInterner / golden-equivalence
+# crash-recovery, cluster, attack-campaign, correlation and fleetbench smoke
+# runs), then under ASan+UBSan (covers the FlatMap / DomainInterner / golden-equivalence
 # "hotpath" suites and the "recovery"/"cluster" snapshot/supervisor/migration
 # suites along with everything else), then the concurrency-, recovery-,
 # cluster-, attack- and correlation-labeled tests (fleet + transport + fleet
@@ -178,6 +178,30 @@ telemetry_smoke() {
   echo "==> [normal] telemetry smoke ok"
 }
 
+# Fleetbench smoke: the benchmark package's own unit tests, then each
+# workload run twice at smoke size (its checks are enforced by fleetbench;
+# run.py exits non-zero on a failed one), requiring the two report JSONs'
+# verdict digests to be equal — the benchmark inherits the fleet determinism
+# contract. Changes nothing under fleetbench/; the package builds under
+# ${CARGO_TARGET_DIR:-.bench_build}/fleetbench as run.py does.
+fleetbench_smoke() {
+  dir="$1"
+  echo "==> [normal] fleetbench smoke"
+  python3 -m unittest discover -s fleetbench -p 'test_*.py'
+  results="${CARGO_TARGET_DIR:-.bench_build}/fleetbench/results"
+  for workload in fleet-sharded campaign-recovery; do
+    for run in 1 2; do
+      python3 fleetbench/run.py --workload "$workload" --seed 1 --seconds 1 \
+        --smoke >/dev/null
+      python3 -c 'import json, sys; print(json.load(open(sys.argv[1]))["digest"])' \
+        "$results/$workload-1-untraced.report.json" \
+        > "$dir/fleetbench-$workload-$run.digest"
+    done
+    cmp "$dir/fleetbench-$workload-1.digest" "$dir/fleetbench-$workload-2.digest"
+  done
+  echo "==> [normal] fleetbench smoke ok"
+}
+
 case "$LEG" in
   normal|all)
     run_leg normal build ""
@@ -188,6 +212,7 @@ case "$LEG" in
     attack_smoke build
     churn_smoke build
     correlation_smoke build
+    fleetbench_smoke build
     ;;
 esac
 

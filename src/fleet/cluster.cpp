@@ -5,7 +5,6 @@
 #include <limits>
 #include <utility>
 
-#include "core/state_codec.hpp"
 #include "fleet/signal_probe.hpp"
 #include "util/error.hpp"
 
@@ -25,10 +24,8 @@ ClusterNode::ClusterNode(NodeId id, const ClusterConfig& config,
     : id_(id),
       config_(config),
       specs_(specs),
-      humanness_(humanness),
-      snapshots_(snapshots),
-      journal_(journal),
-      revocations_(revocations),
+      runtime_(humanness, snapshots, journal, revocations,
+               config.snapshot_every, config.journal),
       queue_(config.queue_capacity, config.on_full),
       sink_(config.trace_capacity) {
   // Wired before the thread exists; worker-owned afterwards (Shard's rule).
@@ -36,12 +33,13 @@ ClusterNode::ClusterNode(NodeId id, const ClusterConfig& config,
   tm_installs_ = &m.counter("fleet.cluster.installs");
   tm_cuts_ = &m.counter("fleet.cluster.cuts");
   tm_installs_aborted_ = &m.counter("fleet.cluster.installs_aborted");
-  tm_snapshots_ = &m.counter("fleet.cluster.snapshots_taken");
-  tm_snapshots_rejected_ = &m.counter("fleet.cluster.snapshots_rejected");
-  tm_restores_warm_ = &m.counter("fleet.cluster.restores_warm");
-  tm_restores_cold_ = &m.counter("fleet.cluster.restores_cold");
-  tm_gap_items_ = &m.counter("fleet.cluster.gap_items");
-  tm_snapshot_bytes_ = &m.histogram("fleet.cluster.snapshot_bytes");
+  runtime_.attach(&sink_,
+                  {.snapshots_taken = "fleet.cluster.snapshots_taken",
+                   .snapshots_rejected = "fleet.cluster.snapshots_rejected",
+                   .restores_warm = "fleet.cluster.restores_warm",
+                   .restores_cold = "fleet.cluster.restores_cold",
+                   .gap_items = "fleet.cluster.gap_items",
+                   .snapshot_bytes = "fleet.cluster.snapshot_bytes"});
   tm_handoff_seconds_ =
       &m.histogram("fleet.cluster.handoff_seconds", telemetry::Domain::kWall);
 }
@@ -58,7 +56,7 @@ void ClusterNode::add_home(Home home) {
   if (started_) throw LogicError("ClusterNode: add_home after start");
   HomeId id = home.id();
   home.proxy().set_telemetry(&sink_, id);
-  proc_[id] = ProcState{};
+  runtime_.add(id);
   homes_.emplace(id, std::move(home));
 }
 
@@ -143,46 +141,12 @@ void ClusterNode::handle(NodeMsg& msg) {
 void ClusterNode::process_item(const FleetItem& item) {
   auto it = homes_.find(item.home);
   if (it == homes_.end()) return;  // routing bug; dropping beats crashing
-  switch (item.kind) {
-    case FleetItem::Kind::kPacket:
-      it->second.proxy().process(item.pkt, item.attack);
-      ++packets_;
-      break;
-    case FleetItem::Kind::kProof:
-      it->second.proxy().on_auth_payload(item.client_id, item.payload, item.ts,
-                                         item.attack);
-      ++proofs_;
-      break;
-    case FleetItem::Kind::kLifecycle:
-      it->second.proxy().on_lifecycle(item.client_id, item.lifecycle_cmd,
-                                      item.ts);
-      ++lifecycle_ops_;
-      break;
+  runtime_.process(it->second, item);
+  if (item.kind == FleetItem::Kind::kPacket) {
+    ++packets_;
+  } else if (item.kind == FleetItem::Kind::kProof) {
+    ++proofs_;
   }
-  ProcState& st = proc_[item.home];
-  ++st.processed;
-  // Journal AFTER the item processed: a replay reconstructs exactly the
-  // applied history, never a half-applied one.
-  if (config_.journal) journal_.append(item.home, st.processed, item);
-  maybe_snapshot(it->second, st, item.ts);
-}
-
-void ClusterNode::maybe_snapshot(Home& home, ProcState& st, double sim_ts) {
-  if (config_.snapshot_every <= 0.0) return;
-  if (sim_ts - st.last_snapshot_ts < config_.snapshot_every) return;
-  take_snapshot(home, st, sim_ts);
-}
-
-void ClusterNode::take_snapshot(Home& home, ProcState& st, double sim_ts) {
-  util::Bytes blob = core::encode_proxy_state(home.proxy(), home.id());
-  tm_snapshot_bytes_->record(static_cast<double>(blob.size()));
-  snapshots_.put(home.id(), st.processed, sim_ts, std::move(blob));
-  // The newest generation covers the journal so far. Older retained
-  // generations deliberately reach back BEFORE this truncation point — a
-  // fallback to them surfaces the gap as genuinely lost items.
-  journal_.truncate_upto(home.id(), st.processed);
-  st.last_snapshot_ts = sim_ts;
-  tm_snapshots_->inc();
 }
 
 void ClusterNode::do_cut(NodeMsg& msg) {
@@ -193,35 +157,23 @@ void ClusterNode::do_cut(NodeMsg& msg) {
     msg.handoff->abandon();
     return;
   }
-  ProcState& st = proc_[msg.home];
   // With journaling the durable snapshot + journal tail already cover every
   // processed item, so the cut is just an ordinal watermark. Without it the
   // cut must seal the state itself: a fresh snapshot at exactly this
   // ordinal, making clean migrations lossless in both modes.
-  if (!config_.journal) take_snapshot(it->second, st, msg.now);
-  msg.handoff->complete(st.processed, msg.now);
+  if (!config_.journal) runtime_.snapshot(it->second, msg.now);
+  msg.handoff->complete(runtime_.processed(msg.home), msg.now);
   homes_.erase(it);
-  proc_.erase(msg.home);
+  runtime_.forget(msg.home);
   ++migrations_out_;
   tm_cuts_->inc();
 }
 
-Home ClusterNode::restore_into_node(const HomeSpec& spec,
-                                    const RestoreOptions& opts,
-                                    RestoreOutcome& out) {
-  Home home(spec, humanness_);
-  out = restore_home(home, spec, humanness_, snapshots_, journal_, opts);
-  if (out.generations_tried > (out.warm ? 1u : 0u)) {
-    tm_snapshots_rejected_->inc(out.generations_tried - (out.warm ? 1 : 0));
-  }
-  if (out.warm) {
-    tm_restores_warm_->inc();
-  } else {
-    tm_restores_cold_->inc();
-  }
-  if (out.lost_items > 0) tm_gap_items_->inc(out.lost_items);
-  home.proxy().set_telemetry(&sink_, spec.id);
-  return home;
+void ClusterNode::place(HomeId id, const RestoreOptions& opts) {
+  RestoreOutcome out;
+  Home home = runtime_.restore(spec_of(id), opts, out);
+  home.proxy().set_telemetry(&sink_, id);
+  homes_.insert_or_assign(id, std::move(home));
 }
 
 void ClusterNode::do_install(NodeMsg& msg) {
@@ -230,36 +182,23 @@ void ClusterNode::do_install(NodeMsg& msg) {
     tm_installs_aborted_->inc();
     return;
   }
-  const HomeSpec& spec = spec_of(msg.home);
   RestoreOptions opts;
-  opts.use_snapshots = true;
-  opts.use_journal = config_.journal;
   opts.expected_ordinal = cut.ordinal;
   opts.now = cut.sim_ts;
-  opts.revocations = &revocations_;
-  RestoreOutcome out;
-  Home home = restore_into_node(spec, opts, out);
+  place(msg.home, opts);
   tm_handoff_seconds_->record(msg.handoff->age_seconds());
-  proc_[msg.home] = ProcState{out.resume_ordinal, cut.sim_ts};
-  homes_.insert_or_assign(msg.home, std::move(home));
   ++migrations_in_;
   tm_installs_->inc();
 }
 
 void ClusterNode::do_restore(NodeMsg& msg) {
-  const HomeSpec& spec = spec_of(msg.home);
+  // Even a cold failover re-drives the revocation ledger — no restore path
+  // can resurrect a revoked key.
   RestoreOptions opts;
-  opts.use_snapshots = !config_.cold_failover;
-  opts.use_journal = config_.journal && !config_.cold_failover;
+  opts.cold = config_.cold_failover;
   opts.expected_ordinal = msg.expected_ordinal;
   opts.now = msg.now;
-  // Even a cold failover must remember revocations — the whole point of the
-  // fleet-wide ledger is that no restore path can resurrect a revoked key.
-  opts.revocations = &revocations_;
-  RestoreOutcome out;
-  Home home = restore_into_node(spec, opts, out);
-  proc_[msg.home] = ProcState{out.resume_ordinal, msg.now};
-  homes_.insert_or_assign(msg.home, std::move(home));
+  place(msg.home, opts);
 }
 
 ShardStats ClusterNode::stats() const {

@@ -24,7 +24,7 @@
 // queue (pre-kill items were routed, so they count as processed and
 // journaled), discards its in-memory state, removes it from the placement,
 // and re-places its homes on the survivors from the durable SnapshotStore +
-// JournalStore via restore_home() — warm where a snapshot generation
+// JournalStore via HomeRuntime::restore() — warm where a snapshot generation
 // decodes, fail-closed-strict where items were genuinely lost.
 //
 // Determinism contract: every control decision (kill, detection, migration,
@@ -47,6 +47,7 @@
 #include "fleet/bounded_queue.hpp"
 #include "fleet/engine.hpp"
 #include "fleet/home.hpp"
+#include "fleet/home_runtime.hpp"
 #include "fleet/item.hpp"
 #include "fleet/migration.hpp"
 #include "fleet/placement.hpp"
@@ -129,9 +130,10 @@ struct NodeMsg {
   std::shared_ptr<Handoff> handoff;    // kCut / kInstall
 };
 
-/// One proxy node: a worker thread over a dynamic home set. Mirrors Shard's
-/// ownership discipline — per-home state and the sink belong to the worker;
-/// stats/telemetry are read only after the join.
+/// One proxy node: a worker thread over a dynamic home set whose items and
+/// restores run through a worker-owned HomeRuntime. Shard's ownership rule
+/// holds — per-home state and the sink belong to the worker; stats/telemetry
+/// are read only after the join.
 class ClusterNode {
  public:
   ClusterNode(NodeId id, const ClusterConfig& config,
@@ -169,34 +171,23 @@ class ClusterNode {
   const telemetry::Sink& telemetry() const;
 
  private:
-  struct ProcState {
-    std::uint64_t processed = 0;  // this home's global item ordinal
-    double last_snapshot_ts = 0.0;
-  };
-
   void run();
   void handle(NodeMsg& msg);
   void process_item(const FleetItem& item);
   void do_cut(NodeMsg& msg);
   void do_install(NodeMsg& msg);
   void do_restore(NodeMsg& msg);
-  void take_snapshot(Home& home, ProcState& st, double sim_ts);
-  void maybe_snapshot(Home& home, ProcState& st, double sim_ts);
-  Home restore_into_node(const HomeSpec& spec, const RestoreOptions& opts,
-                         RestoreOutcome& out);
+  /// Restores `home` from the durable stores and hosts it here.
+  void place(HomeId home, const RestoreOptions& opts);
   const HomeSpec& spec_of(HomeId home) const;
   void require_quiescent(const char* op) const;
 
   NodeId id_;
   const ClusterConfig& config_;
   const std::vector<HomeSpec>& specs_;  // all homes, sorted by id
-  const core::HumannessVerifier& humanness_;
-  SnapshotStore& snapshots_;
-  JournalStore& journal_;
-  const RevocationLedger& revocations_;
+  HomeRuntime runtime_;
 
   std::map<HomeId, Home> homes_;
-  std::map<HomeId, ProcState> proc_;
   BoundedQueue<NodeMsg> queue_;
   telemetry::Sink sink_;
   std::thread worker_;
@@ -207,7 +198,6 @@ class ClusterNode {
   // Worker-owned counters (read after join).
   std::size_t packets_ = 0;
   std::size_t proofs_ = 0;
-  std::size_t lifecycle_ops_ = 0;
   std::size_t discarded_ = 0;
   std::size_t migrations_in_ = 0;
   std::size_t migrations_out_ = 0;
@@ -217,12 +207,6 @@ class ClusterNode {
   telemetry::Counter* tm_installs_ = nullptr;
   telemetry::Counter* tm_cuts_ = nullptr;
   telemetry::Counter* tm_installs_aborted_ = nullptr;
-  telemetry::Counter* tm_snapshots_ = nullptr;
-  telemetry::Counter* tm_snapshots_rejected_ = nullptr;
-  telemetry::Counter* tm_restores_warm_ = nullptr;
-  telemetry::Counter* tm_restores_cold_ = nullptr;
-  telemetry::Counter* tm_gap_items_ = nullptr;
-  telemetry::Histogram* tm_snapshot_bytes_ = nullptr;
   telemetry::Histogram* tm_handoff_seconds_ = nullptr;  // kWall
 };
 

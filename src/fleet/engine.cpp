@@ -34,10 +34,7 @@ FleetEngine::FleetEngine(std::vector<HomeSpec> homes,
   partition_ = HomePartition::contiguous(ids, config_.shards);
 
   if (config_.recovery.enabled) {
-    // Restarts re-apply revocations from the engine-owned ledger; the caller
-    // cannot point the supervisor anywhere else.
-    config_.recovery.revocations = &revocations_;
-    supervisor_ = std::make_unique<Supervisor>(config_.recovery);
+    supervisor_ = std::make_unique<Supervisor>(config_.recovery, revocations_);
     shard_supervisors_.reserve(partition_.shard_count());
   }
 

@@ -50,7 +50,8 @@ struct FleetConfig {
   std::size_t trace_capacity = 8192;
   /// Hand whole drained queue batches to the batch pipeline (DESIGN.md §15).
   /// Per-home results are byte-identical either way; --no-batch forces the
-  /// per-item scalar loop (the golden matrix's reference engine).
+  /// per-item scalar loop (the golden matrix's reference engine), and so
+  /// does supervision (recovery.enabled).
   bool batch = true;
   /// Durability + crash supervision (fleet/supervisor.hpp). Disabled by
   /// default: the unsupervised hot path is unchanged.

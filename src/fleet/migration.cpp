@@ -1,68 +1,6 @@
 #include "fleet/migration.hpp"
 
-#include <algorithm>
-
-#include "core/state_codec.hpp"
-
 namespace fiat::fleet {
-
-void apply_item(Home& home, const FleetItem& item) {
-  // Labeled overloads: a journal replay re-tallies the attack ledger exactly
-  // as live processing did (the snapshot carries the ledger up to its cut).
-  switch (item.kind) {
-    case FleetItem::Kind::kPacket:
-      home.proxy().process(item.pkt, item.attack);
-      break;
-    case FleetItem::Kind::kProof:
-      home.proxy().on_auth_payload(item.client_id, item.payload, item.ts,
-                                   item.attack);
-      break;
-    case FleetItem::Kind::kLifecycle:
-      home.proxy().on_lifecycle(item.client_id, item.lifecycle_cmd, item.ts);
-      break;
-  }
-}
-
-void JournalStore::append(HomeId home, std::uint64_t ordinal,
-                          const FleetItem& item) {
-  std::lock_guard<std::mutex> lock(mu_);
-  tails_[home].emplace_back(ordinal, item);
-}
-
-std::vector<JournalStore::Entry> JournalStore::tail_after(
-    HomeId home, std::uint64_t after) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = tails_.find(home);
-  if (it == tails_.end()) return {};
-  const std::deque<Entry>& tail = it->second;
-  // Tails are appended in ascending ordinal order, so the cut is a
-  // lower_bound, not a scan.
-  auto first = std::lower_bound(
-      tail.begin(), tail.end(), after,
-      [](const Entry& e, std::uint64_t o) { return e.first <= o; });
-  return {first, tail.end()};
-}
-
-void JournalStore::truncate_upto(HomeId home, std::uint64_t upto) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = tails_.find(home);
-  if (it == tails_.end()) return;
-  std::deque<Entry>& tail = it->second;
-  while (!tail.empty() && tail.front().first <= upto) tail.pop_front();
-}
-
-std::size_t JournalStore::entries(HomeId home) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = tails_.find(home);
-  return it == tails_.end() ? 0 : it->second.size();
-}
-
-std::size_t JournalStore::total_entries() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::size_t n = 0;
-  for (const auto& [home, tail] : tails_) n += tail.size();
-  return n;
-}
 
 void Handoff::complete(std::uint64_t ordinal, double sim_ts) {
   {
@@ -96,72 +34,6 @@ double Handoff::age_seconds() const {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                        created_)
       .count();
-}
-
-RestoreOutcome restore_home(Home& home, const HomeSpec& spec,
-                            const core::HumannessVerifier& humanness,
-                            const SnapshotStore& snapshots,
-                            const JournalStore& journal,
-                            const RestoreOptions& opts) {
-  RestoreOutcome out;
-  std::uint64_t resume = 0;
-  if (opts.use_snapshots) {
-    for (const SnapshotStore::Record& rec : snapshots.history(spec.id)) {
-      ++out.generations_tried;
-      core::CodecStatus status =
-          core::decode_proxy_state(home.proxy(), rec.blob, spec.id);
-      if (status == core::CodecStatus::kOk) {
-        out.warm = true;
-        resume = rec.ordinal;
-        break;
-      }
-      // Rejected generation (corrupt / truncated / misdirected): the decode
-      // may have half-mutated the proxy, so rebuild and try the next-older
-      // generation — the functional payoff of snapshot retention > 1.
-      home = Home(spec, humanness);
-    }
-  }
-
-  std::vector<JournalStore::Entry> tail;
-  std::uint64_t reach = resume;
-  std::uint64_t holes = 0;
-  if (opts.use_journal) {
-    tail = journal.tail_after(spec.id, resume);
-    for (const auto& [ord, item] : tail) {
-      holes += ord - reach - 1;
-      reach = ord;
-    }
-  }
-  out.lost_items =
-      (opts.expected_ordinal > reach ? opts.expected_ordinal - reach : 0) +
-      holes;
-
-  if (!out.warm && out.lost_items > 0 &&
-      spec.proxy.degraded_policy == core::FailPolicy::kFailClosed) {
-    // Lossy cold restore under fail-closed: re-running bootstrap on attack-
-    // reachable traffic would re-open the allow-all learning window, so the
-    // rebuilt proxy starts strict (same rule as the supervisor restart).
-    home.proxy().force_bootstrap_elapsed(opts.now);
-    out.forced_bootstrap = true;
-  }
-
-  for (const auto& [ord, item] : tail) apply_item(home, item);
-
-  if (opts.revocations != nullptr) {
-    // Re-drive every recorded revocation. CredentialRegistry::apply(kRevoke)
-    // is idempotent (kNoop when the client is already fully revoked), so a
-    // journal-covered revocation replays harmlessly while a lost one is
-    // restored here.
-    for (const RevocationLedger::Entry& rev :
-         opts.revocations->for_home(spec.id)) {
-      crypto::LifecycleCommand cmd;
-      cmd.op = crypto::LifecycleCommand::Op::kRevoke;
-      cmd.effective_ts = rev.effective_ts;
-      home.proxy().on_lifecycle(rev.client_id, cmd, opts.now);
-    }
-  }
-  out.resume_ordinal = reach;
-  return out;
 }
 
 }  // namespace fiat::fleet

@@ -1,75 +1,24 @@
-// Durable stores + handoff machinery for the cluster tier (DESIGN.md §12).
+// The cut barrier of a cluster live migration (DESIGN.md §12.2).
 //
-// Three pieces sit between a dying (or donating) node and the node that
-// inherits its homes:
+// The controller flips routing the instant it decides to migrate; the
+// source node completes the cut (ordinal watermark) when it reaches the cut
+// message in its FIFO queue, and the destination blocks in wait() until then
+// before it restores. FIFO queues guarantee the destination's install
+// precedes any post-flip item, so no item ever lands on a node that does not
+// yet host its home. abandon() exists solely for the abort path: a discarded
+// cut must never leave the destination parked in wait() forever.
 //
-//  * JournalStore — per-home tails of successfully processed items, living
-//    OUTSIDE any node. PR 5's in-worker journals die with their shard; these
-//    survive node death, which is what turns a whole-node kill into a warm
-//    failover instead of a cold re-bootstrap. A home's ordinals are global
-//    (they continue across migrations), so snapshot.ordinal + tail_after()
-//    always line up no matter how many nodes the home has visited.
-//
-//  * Handoff — the cut barrier of a live migration. The controller flips
-//    routing the instant it decides to migrate; the source node completes
-//    the cut (ordinal watermark) when it reaches the cut message in its FIFO
-//    queue, and the destination blocks in wait() until then before it
-//    restores. FIFO queues guarantee the destination's install precedes any
-//    post-flip item, so no item ever lands on a node that does not yet host
-//    its home. abandon() exists solely for the abort path: a discarded cut
-//    must never leave the destination parked in wait() forever.
-//
-//  * restore_home() — one restore routine for installs (migration) and
-//    re-placements (failover): walk snapshot generations newest-first until
-//    one decodes cleanly, replay the journal tail, size the hole that
-//    remains, and under fail-closed force bootstrap elapsed only when items
-//    were genuinely lost — the exact semantics of the PR 5 supervisor's
-//    restart path (fleet/supervisor.cpp), shared here via apply_item().
+// The restore the destination runs after the cut — like the failover
+// re-placement and the supervisor's restart — is HomeRuntime::restore
+// (fleet/home_runtime.hpp), the fleet's one restore routine.
 #pragma once
 
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <mutex>
-#include <unordered_map>
-#include <utility>
-#include <vector>
-
-#include "core/humanness.hpp"
-#include "fleet/enrollment.hpp"
-#include "fleet/home.hpp"
-#include "fleet/item.hpp"
-#include "fleet/snapshot_store.hpp"
 
 namespace fiat::fleet {
-
-/// Applies one item to a home's proxy without touching any runtime counters
-/// (replay must not re-count). Shared by the supervisor's restart replay and
-/// the cluster tier's restore paths.
-void apply_item(Home& home, const FleetItem& item);
-
-/// Node-death-surviving journal: per-home ascending (ordinal, item) tails,
-/// appended after an item processes successfully and truncated when a
-/// snapshot covers it. Mutex-protected: writers are node workers, readers
-/// are whichever node restores the home next.
-class JournalStore {
- public:
-  using Entry = std::pair<std::uint64_t, FleetItem>;
-
-  void append(HomeId home, std::uint64_t ordinal, const FleetItem& item);
-  /// Entries with ordinal > `after`, ascending.
-  std::vector<Entry> tail_after(HomeId home, std::uint64_t after) const;
-  /// Drops entries with ordinal <= `upto` (a snapshot now covers them).
-  void truncate_upto(HomeId home, std::uint64_t upto);
-
-  std::size_t entries(HomeId home) const;
-  std::size_t total_entries() const;
-
- private:
-  mutable std::mutex mu_;
-  std::unordered_map<HomeId, std::deque<Entry>> tails_;
-};
 
 /// One migration's cut barrier (see file comment). Created by the controller
 /// at routing-flip time; completed by the source, awaited by the
@@ -103,43 +52,5 @@ class Handoff {
   bool done_ = false;
   Cut cut_;
 };
-
-struct RestoreOptions {
-  /// Off = the cold re-placement baseline (rebuild from spec, lose history).
-  bool use_snapshots = true;
-  bool use_journal = true;
-  /// Items of this home known processed before the restore (the controller's
-  /// routed count at failover; the cut ordinal at migration). Anything the
-  /// snapshot + journal cannot reach is lost.
-  std::uint64_t expected_ordinal = 0;
-  /// Sim time of the restore (bootstrap-forcing anchor).
-  double now = 0.0;
-  /// When set, every revocation recorded for this home is re-applied after
-  /// the journal replay (idempotent kRevoke commands). This is the
-  /// "revocation is never forgotten" guarantee: even when the snapshot
-  /// predates a revocation AND the journal lost the revoke item, the ledger
-  /// restores it.
-  const RevocationLedger* revocations = nullptr;
-};
-
-struct RestoreOutcome {
-  bool warm = false;                 // some snapshot generation decoded
-  std::uint64_t resume_ordinal = 0;  // items reflected in the restored state
-  std::uint64_t lost_items = 0;      // expected - reach, plus journal holes
-  std::size_t generations_tried = 0;  // snapshot decode attempts
-  bool forced_bootstrap = false;
-};
-
-/// Rebuilds `home` (already freshly constructed from `spec`) from the
-/// durable stores: newest snapshot generation that decodes cleanly, then the
-/// journal tail beyond it. Mirrors ShardSupervisor::restart_shard — lossy
-/// restores under fail-closed start strict (force_bootstrap_elapsed) so a
-/// restore never re-opens the insecure learning window, while a fully
-/// covered restore stays byte-identical to the uninterrupted run.
-RestoreOutcome restore_home(Home& home, const HomeSpec& spec,
-                            const core::HumannessVerifier& humanness,
-                            const SnapshotStore& snapshots,
-                            const JournalStore& journal,
-                            const RestoreOptions& opts);
 
 }  // namespace fiat::fleet

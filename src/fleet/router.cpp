@@ -51,7 +51,7 @@ IngestRouter::IngestRouter(std::vector<Shard*> shards, HomePartition partition,
 
 IngestRouter::~IngestRouter() { flush(); }
 
-bool IngestRouter::ingest(FleetItem item) {
+bool IngestRouter::ingest(FleetItem&& item) {
   std::size_t shard = partition_.shard_of(item.home);
   if (shard >= shards_.size()) return false;
   // Lifecycle commands ride the proof lane in the offered counters: both are

@@ -51,7 +51,9 @@ class IngestRouter {
   /// Buffers the item towards its shard; flushes that shard's buffer when it
   /// reaches batch_size. Acceptance/shedding is only known at flush time, so
   /// the return value reports routing success (false = no such shard).
-  bool ingest(FleetItem item);
+  /// Moves from FleetEngine::ingest's own copy, so the producer builds one
+  /// item temporary per ingest, not two.
+  bool ingest(FleetItem&& item);
   /// Pushes out all buffered items. Returns how many were accepted.
   std::size_t flush();
 

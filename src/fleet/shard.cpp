@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 
+#include "fleet/home_runtime.hpp"
 #include "fleet/signal_probe.hpp"
 #include "fleet/supervisor.hpp"
 #include "util/error.hpp"
@@ -83,20 +84,15 @@ void Shard::require_quiescent(const char* op) const {
 void Shard::process(const FleetItem& item) {
   Home* home = find_home(item.home);
   if (!home) return;  // router bug or stale id; dropping beats crashing a shard
-  switch (item.kind) {
-    case FleetItem::Kind::kPacket:
-      home->proxy().process(item.pkt, item.attack);
-      ++packets_;
-      break;
-    case FleetItem::Kind::kProof:
-      home->proxy().on_auth_payload(item.client_id, item.payload, item.ts,
-                                    item.attack);
-      ++proofs_;
-      break;
-    case FleetItem::Kind::kLifecycle:
-      home->proxy().on_lifecycle(item.client_id, item.lifecycle_cmd, item.ts);
-      ++lifecycle_ops_;
-      break;
+  apply_item(*home, item);
+  count(item);
+}
+
+void Shard::count(const FleetItem& item) {
+  if (item.kind == FleetItem::Kind::kPacket) {
+    ++packets_;
+  } else if (item.kind == FleetItem::Kind::kProof) {
+    ++proofs_;
   }
 }
 
@@ -148,7 +144,6 @@ void Shard::process_batch(std::span<const FleetItem> items) {
         // Lifecycle commands change which keys verify, so they fence too.
         flush();
         proxy.on_lifecycle(item.client_id, item.lifecycle_cmd, item.ts);
-        ++lifecycle_ops_;
       }
     }
     flush();
@@ -158,31 +153,25 @@ void Shard::process_batch(std::span<const FleetItem> items) {
 void Shard::run() {
   std::vector<FleetItem> batch;
   std::vector<double> waits;
-  // The batch fast path only engages when no supervised fault can fire
-  // inside a batch; an active fault plan needs the per-item crash/retry
-  // bracket (the supervisor still segments around snapshot points).
-  const bool batched =
-      batch_enabled_ && (!supervisor_ || !supervisor_->fault_active());
+  // Supervised shards stay per-item: the crash/retry bracket and the
+  // journal wrap one item at a time.
+  const bool batched = batch_enabled_ && !supervisor_;
   while (queue_.pop_wait(batch, &waits)) {
     auto t0 = std::chrono::steady_clock::now();
     tm_batch_items_->record(static_cast<double>(batch.size()));
     for (double wait : waits) tm_queue_wait_->record(wait);
     if (batched && !discard_.load(std::memory_order_relaxed)) {
-      if (supervisor_) {
-        supervisor_->process_batch(*this, batch);
-      } else {
-        process_batch(batch);
-      }
+      process_batch(batch);
     } else {
       for (const FleetItem& item : batch) {
         if (discard_.load(std::memory_order_relaxed)) {
           ++discarded_;
           continue;
         }
-        if (supervisor_) {
-          supervisor_->process(*this, item);
-        } else {
+        if (!supervisor_) {
           process(item);
+        } else if (supervisor_->process(*this, item)) {
+          count(item);
         }
       }
     }

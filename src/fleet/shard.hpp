@@ -30,7 +30,8 @@ class Shard {
   /// `homes` is this shard's contiguous slice of the fleet (sorted by id).
   /// `trace_capacity` bounds this shard's telemetry trace ring (0 disables
   /// tracing). `supervisor`, when set, wraps every item in the recovery path
-  /// (fleet/supervisor.hpp); it must outlive the shard.
+  /// (fleet/supervisor.hpp) and the worker processes item by item; it must
+  /// outlive the shard.
   Shard(std::vector<Home> homes, std::size_t queue_capacity, FullPolicy policy,
         std::size_t trace_capacity = 8192,
         ShardSupervisor* supervisor = nullptr);
@@ -47,8 +48,9 @@ class Shard {
 
   BoundedQueue<FleetItem>& queue() { return queue_; }
 
-  /// Worker-side processing of one item; public so a shards=1 caller (or a
-  /// test) can run the identical code path synchronously.
+  /// Worker-side processing of one item (find_home + apply_item, no
+  /// durability work); public so a shards=1 caller (or a test) can run the
+  /// identical code path synchronously.
   void process(const FleetItem& item);
 
   /// Worker-side batched processing (DESIGN.md §15): groups the slice per
@@ -59,7 +61,8 @@ class Shard {
   void process_batch(std::span<const FleetItem> items);
 
   /// Engine knob (--no-batch): when false the worker loop processes drained
-  /// batches item by item through the scalar path. Set before start().
+  /// batches item by item through the scalar path. Supervised shards always
+  /// do. Set before start().
   void set_batch(bool enabled) { batch_enabled_ = enabled; }
 
   std::vector<Home>& homes() { return homes_; }
@@ -105,6 +108,8 @@ class Shard {
 
  private:
   void run();
+  /// Counts one item this worker applied (ShardStats packets / proofs).
+  void count(const FleetItem& item);
   /// Throws unless the worker is not running (never started, or joined).
   void require_quiescent(const char* op) const;
 
@@ -132,7 +137,6 @@ class Shard {
   // owner before start / after join), read after join.
   std::size_t packets_ = 0;
   std::size_t proofs_ = 0;
-  std::size_t lifecycle_ops_ = 0;
   std::size_t discarded_ = 0;
   double busy_seconds_ = 0.0;
   // Set (under the queue's closed flag ordering) before a no-drain stop.

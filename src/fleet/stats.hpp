@@ -60,8 +60,8 @@ struct FleetStats {
   std::size_t correlation_shared_signatures = 0;
   std::size_t correlation_flood_sources = 0;
   std::size_t correlation_cohorts = 0;
-  // Credential lifecycle, fleet-wide (sums of the per-shard columns plus the
-  // lifecycle commands workers processed and proofs lifecycle-rejected).
+  // Credential lifecycle, fleet-wide (sums of the per-shard columns, plus
+  // the proofs the homes rejected for lifecycle reasons).
   std::size_t lifecycle_enrolled = 0;
   std::size_t lifecycle_rotated = 0;
   std::size_t lifecycle_revoked = 0;

@@ -3,8 +3,6 @@
 #include <chrono>
 #include <cstdio>
 
-#include "core/state_codec.hpp"
-#include "fleet/migration.hpp"
 #include "fleet/shard.hpp"
 
 namespace fiat::fleet {
@@ -71,141 +69,59 @@ ShardSupervisor::ShardSupervisor(std::size_t shard_index, Supervisor* fleet,
       fleet_(fleet),
       specs_(std::move(specs)),
       humanness_(std::move(humanness)),
-      injector_(fleet->config().fault) {}
+      runtime_(humanness_, fleet->store(), fleet->journal(),
+               fleet->revocations(), fleet->config().snapshot_every,
+               fleet->config().journal),
+      injector_(fleet->config().fault) {
+  for (const HomeSpec& spec : specs_) runtime_.add(spec.id);
+}
 
 void ShardSupervisor::attach(telemetry::Sink* sink) {
   sink_ = sink;
   auto& m = sink->metrics;
   tm_restarts_ = &m.counter("fleet.shard_restarts");
   tm_quarantined_ = &m.counter("fleet.items_quarantined");
-  tm_snapshots_ = &m.counter("fleet.snapshots_taken");
-  tm_snapshots_rejected_ = &m.counter("fleet.snapshots_rejected");
-  tm_restores_warm_ = &m.counter("fleet.restores_warm");
-  tm_restores_cold_ = &m.counter("fleet.restores_cold");
-  tm_gap_items_ = &m.counter("fleet.recovery_gap_items");
-  tm_snapshot_bytes_ = &m.histogram("fleet.snapshot_bytes");
-  tm_snapshot_seconds_ =
-      &m.histogram("fleet.snapshot_seconds", telemetry::Domain::kWall);
   tm_restore_seconds_ =
       &m.histogram("fleet.restore_seconds", telemetry::Domain::kWall);
+  runtime_.attach(sink, {.snapshots_taken = "fleet.snapshots_taken",
+                         .snapshots_rejected = "fleet.snapshots_rejected",
+                         .restores_warm = "fleet.restores_warm",
+                         .restores_cold = "fleet.restores_cold",
+                         .gap_items = "fleet.recovery_gap_items",
+                         .snapshot_bytes = "fleet.snapshot_bytes",
+                         .snapshot_seconds = "fleet.snapshot_seconds",
+                         .snapshot_track = "supervisor"});
 }
 
-ShardSupervisor::HomeState& ShardSupervisor::state_of(HomeId home) {
-  return homes_[home];
-}
-
-void ShardSupervisor::process(Shard& shard, const FleetItem& item) {
-  // HomeState nodes live in a std::map: the reference stays valid across the
-  // restart path below, which inserts no new homes.
-  HomeState& st = state_of(item.home);
-  std::uint64_t ordinal = st.processed + 1;
+bool ShardSupervisor::process(Shard& shard, const FleetItem& item) {
+  // The item keeps this ordinal across every retry, so a poison item keeps
+  // accumulating attempts even when a lossy restore rewinds the home.
+  const std::uint64_t ordinal = runtime_.processed(item.home) + 1;
   ++shard_items_;
   for (;;) {
     try {
       injector_.on_item(item.home, ordinal, shard_items_);
-      shard.process(item);
-      st.processed = ordinal;
-      // Journal AFTER success: replay can never re-execute a crash.
-      if (fleet_->config().journal) st.journal.emplace_back(ordinal, item);
-      maybe_snapshot(shard, item);
-      return;
+      // Looked up per attempt: a restart replaces the shard's homes.
+      Home* home = shard.find_home(item.home);
+      if (!home) return false;  // same drop-don't-crash rule as Shard::process
+      runtime_.process(*home, item);
+      return true;
     } catch (const std::exception& e) {
-      // Attempts are keyed by (home, ordinal), not item identity: a lossy
-      // restore rewinds ordinals, and a poison ordinal must keep
-      // accumulating attempts across rewinds to converge on quarantine.
       int attempts = ++attempts_[{item.home, ordinal}];
       bool quarantine = attempts >= fleet_->config().max_attempts;
       restart_shard(shard, item, ordinal, quarantine, e.what());
       if (quarantine) {
         // Consume the poison ordinal without applying (or journaling) the
         // item, then move on instead of crash-looping.
-        st.processed = ordinal;
+        runtime_.consume(item.home, ordinal);
         ++quarantined_;
         if (tm_quarantined_) tm_quarantined_->inc();
         fleet_->note_quarantine({item.home, ordinal, item.ts, e.what()});
-        return;
+        return false;
       }
       // Transient (or not-yet-exhausted) crash: retry the same item against
       // the restored state.
     }
-  }
-}
-
-void ShardSupervisor::process_batch(Shard& shard,
-                                    std::span<const FleetItem> items) {
-  if (fault_active()) {
-    // Defensive: the shard should not route batches here with a live fault
-    // plan, but if it does, fall back to the exact per-item bracket.
-    for (const FleetItem& item : items) process(shard, item);
-    return;
-  }
-  const double every = fleet_->config().snapshot_every;
-  const bool journal = fleet_->config().journal;
-  std::size_t begin = 0;
-  while (begin < items.size()) {
-    // Segment ends at the first item that will trigger a snapshot for its
-    // home. No snapshot can happen before the boundary, so last_snapshot_ts
-    // is frozen during the scan and the cut lands exactly where the
-    // per-item loop would have called take_snapshot.
-    std::size_t end = items.size();
-    if (every > 0.0) {
-      for (std::size_t j = begin; j < end; ++j) {
-        if (items[j].ts - state_of(items[j].home).last_snapshot_ts >= every) {
-          end = j + 1;
-          break;
-        }
-      }
-    }
-    std::span<const FleetItem> seg = items.subspan(begin, end - begin);
-    shard.process_batch(seg);
-    for (const FleetItem& item : seg) {
-      HomeState& st = state_of(item.home);
-      ++st.processed;
-      ++shard_items_;
-      if (journal) st.journal.emplace_back(st.processed, item);
-    }
-    // No-op unless the boundary item actually triggered (a batch can also
-    // end because the queue drained).
-    maybe_snapshot(shard, items[end - 1]);
-    begin = end;
-  }
-}
-
-void ShardSupervisor::maybe_snapshot(Shard& shard, const FleetItem& item) {
-  double every = fleet_->config().snapshot_every;
-  if (every <= 0.0) return;
-  HomeState& st = state_of(item.home);
-  if (item.ts - st.last_snapshot_ts < every) return;
-  Home* home = shard.find_home(item.home);
-  if (home) take_snapshot(*home, item.ts);
-}
-
-void ShardSupervisor::take_snapshot(Home& home, double sim_ts) {
-  auto t0 = std::chrono::steady_clock::now();
-  util::Bytes blob = core::encode_proxy_state(home.proxy(), home.id());
-  HomeState& st = state_of(home.id());
-  if (tm_snapshot_bytes_) {
-    tm_snapshot_bytes_->record(static_cast<double>(blob.size()));
-  }
-  fleet_->store().put(home.id(), st.processed, sim_ts, std::move(blob));
-  // The snapshot now covers everything the journal held.
-  st.journal.clear();
-  st.last_snapshot_ts = sim_ts;
-  ++snapshots_taken_;
-  if (tm_snapshots_) tm_snapshots_->inc();
-  if (tm_snapshot_seconds_) {
-    tm_snapshot_seconds_->record(
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count());
-  }
-  if (sink_ && sink_->trace.enabled()) {
-    telemetry::TraceSpan span;
-    span.name = "snapshot";
-    span.category = "fleet.recovery";
-    span.start = sim_ts;
-    span.home = home.id();
-    span.track = "supervisor";
-    sink_->trace.record(std::move(span));
   }
 }
 
@@ -216,78 +132,18 @@ void ShardSupervisor::restart_shard(Shard& shard, const FleetItem& crash_item,
   auto t0 = std::chrono::steady_clock::now();
   ++restarts_;
   if (tm_restarts_) tm_restarts_->inc();
-  const RecoveryConfig& cfg = fleet_->config();
 
   std::vector<Home> rebuilt;
   rebuilt.reserve(specs_.size());
   for (const HomeSpec& spec : specs_) {
-    HomeState& st = state_of(spec.id);
-    std::uint64_t before = st.processed;
-    Home home(spec, humanness_);
-    bool warm = false;
-    std::uint64_t resume = 0;
-    if (!cfg.cold_restart) {
-      if (auto rec = fleet_->store().latest(spec.id)) {
-        core::CodecStatus status =
-            core::decode_proxy_state(home.proxy(), rec->blob, spec.id);
-        if (status == core::CodecStatus::kOk) {
-          warm = true;
-          resume = rec->ordinal;
-        } else {
-          // Rejected snapshot (corrupt / truncated / skewed / misdirected):
-          // the decode may have half-mutated the proxy, so rebuild once more
-          // and fall through to the cold path.
-          if (tm_snapshots_rejected_) tm_snapshots_rejected_->inc();
-          home = Home(spec, humanness_);
-        }
-      }
-    }
-    // Size the hole this restore leaves BEFORE deciding on bootstrap
-    // forcing: items processed before the crash that neither the snapshot
-    // nor the journal can reproduce (a crash before the first snapshot
-    // with journaling on is fully covered — ordinal 1 onward).
-    std::uint64_t journal_reach = resume;
-    std::uint64_t journal_holes = 0;
-    for (const auto& [ord, journaled] : st.journal) {
-      if (ord <= journal_reach) continue;
-      journal_holes += ord - journal_reach - 1;
-      journal_reach = ord;
-    }
-    std::uint64_t lost =
-        (before > journal_reach ? before - journal_reach : 0) + journal_holes;
-    if (!warm && lost > 0 &&
-        spec.proxy.degraded_policy == core::FailPolicy::kFailClosed) {
-      // Lossy restart under fail-closed: re-running bootstrap on attack-
-      // reachable traffic would re-open the 20-minute allow-all window, so
-      // the rebuilt proxy starts strict (the cost — transient lockouts — is
-      // exactly what bench_recovery quantifies). When the journal covers
-      // the full gap the replay reconstructs bootstrap state exactly, so
-      // forcing would needlessly diverge from the uninterrupted run.
-      home.proxy().force_bootstrap_elapsed(crash_item.ts);
-    }
-    for (const auto& [ord, journaled] : st.journal) {
-      if (ord <= resume) continue;
-      apply_item(home, journaled);
-      resume = ord;
-    }
-    if (cfg.revocations != nullptr) {
-      // Revocation is never forgotten: re-drive every ledger-recorded
-      // revocation for this home after the replay. Idempotent (kNoop when
-      // the journal already covered it); decisive when the revoke item fell
-      // in a recovery gap.
-      for (const RevocationLedger::Entry& rev :
-           cfg.revocations->for_home(spec.id)) {
-        crypto::LifecycleCommand cmd;
-        cmd.op = crypto::LifecycleCommand::Op::kRevoke;
-        cmd.effective_ts = rev.effective_ts;
-        home.proxy().on_lifecycle(rev.client_id, cmd, crash_item.ts);
-      }
-    }
-    if (tm_gap_items_ && lost > 0) tm_gap_items_->inc(lost);
-    if (auto* c = warm ? tm_restores_warm_ : tm_restores_cold_) c->inc();
-    fleet_->note_resume({shard_index_, spec.id, warm, resume, lost,
-                         home.proxy().decision_log().size()});
-    st.processed = resume;
+    RestoreOptions opts;
+    opts.cold = fleet_->config().cold_restart;
+    opts.expected_ordinal = runtime_.processed(spec.id);
+    opts.now = crash_item.ts;
+    RestoreOutcome out;
+    Home home = runtime_.restore(spec, opts, out);
+    fleet_->note_resume({shard_index_, spec.id, out.warm, out.resume_ordinal,
+                         out.lost_items, home.proxy().decision_log().size()});
     rebuilt.push_back(std::move(home));
   }
   shard.adopt_homes(std::move(rebuilt));

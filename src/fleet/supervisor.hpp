@@ -1,41 +1,35 @@
-// Crash supervision + durability for the fleet runtime (DESIGN.md §11).
+// Crash supervision for the fleet runtime (DESIGN.md §11).
 //
-// A Supervisor is the fleet-level ledger: it owns the SnapshotStore and the
-// (mutex-protected) restart/quarantine/resume logs every shard reports into.
-// A ShardSupervisor is one shard's recovery brain. It wraps the worker's
-// item loop:
+// A Supervisor is the fleet-level ledger: it owns the durable stores
+// (SnapshotStore and JournalStore) and the (mutex-protected) restart/
+// quarantine/resume logs every shard reports into. A ShardSupervisor is one
+// shard's crash bracket around its HomeRuntime (fleet/home_runtime.hpp):
 //
-//   on_item (crash injection) -> shard.process -> journal -> maybe_snapshot
+//   on_item (crash injection) -> HomeRuntime::process
 //
 // and when any exception escapes processing it performs an in-worker restart
-// of the shard's state: every home is rebuilt from its HomeSpec, warm-
-// restored from its latest snapshot when one opens cleanly (else cold, with
-// bootstrap forced elapsed under fail-closed so a restart never re-opens the
-// insecure learning window), and the since-snapshot journal is replayed.
-// The worker thread itself survives — per-home state is single-threaded
-// either way, so healing in place gives the same guarantees as killing and
+// of the shard's state: every home is rebuilt through HomeRuntime::restore,
+// the same restore routine the cluster's install and failover run. The
+// worker thread itself survives — per-home state is single-threaded either
+// way, so healing in place gives the same guarantees as killing and
 // re-spawning the thread with none of the handoff races.
 //
 // Retry discipline: a crashing item is retried after each restart; after
 // `max_attempts` crashes at the same (home, ordinal) the item is declared
 // deterministic poison, quarantined (skipped + logged), and the shard moves
-// on instead of crash-looping. Items are journaled only AFTER they process
-// successfully, so replay can never re-execute the crash.
+// on instead of crash-looping.
 //
 // With journaling on, restore-point + journal covers every processed item —
 // recovery loses nothing and the merged FleetReport is byte-identical to an
 // uninterrupted run. With journaling off, items between the last snapshot
 // and the crash are lost (the "recovery gap" bench_recovery measures); the
-// per-(home, ordinal) attempt counter still converges because a poison
-// ordinal keeps accumulating attempts across rewinds even if a different
-// item aliases onto it.
+// per-(home, ordinal) attempt counter still converges because the crashing
+// item keeps the ordinal it was delivered at across every retry.
 #pragma once
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <mutex>
-#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -43,6 +37,7 @@
 #include "core/humanness.hpp"
 #include "fleet/enrollment.hpp"
 #include "fleet/home.hpp"
+#include "fleet/home_runtime.hpp"
 #include "fleet/item.hpp"
 #include "fleet/snapshot_store.hpp"
 #include "sim/faults.hpp"
@@ -66,16 +61,12 @@ struct RecoveryConfig {
   /// lossless recovery (the golden byte-identity mode). Off = restore to the
   /// snapshot only, losing the gap (what bench_recovery measures).
   bool journal = true;
-  /// Ignore snapshots on restart (bench baseline: cold re-bootstrap).
+  /// Ignore snapshots and journal on restart (bench baseline: cold
+  /// re-bootstrap).
   bool cold_restart = false;
   /// Crash injection, applied to every shard (per-home plans only fire on
   /// the shard owning that home; shard-global ordinals fire per shard).
   sim::ShardFaultPlan fault;
-  /// Fleet-wide revocation ledger (owned by the engine). When set, every
-  /// restart re-applies the recorded revocations after the journal replay,
-  /// so a crash can never resurrect a revoked credential even when the
-  /// revoke item itself fell in a recovery gap.
-  const RevocationLedger* revocations = nullptr;
 };
 
 struct RestartRecord {
@@ -105,15 +96,21 @@ struct ResumePoint {
 };
 
 /// Fleet-level recovery ledger; one per engine, shared by every shard's
-/// supervisor. The note_*/logs are mutex-protected (multiple workers);
-/// everything else is read after the engine stops.
+/// supervisor. The stores and the note_*/logs are mutex-protected (multiple
+/// workers); everything else is read after the engine stops.
 class Supervisor {
  public:
-  explicit Supervisor(RecoveryConfig config) : config_(std::move(config)) {}
+  /// `revocations` is the engine's fleet-wide ledger: every restart re-drives
+  /// the revocations recorded there, so a crash can never resurrect a
+  /// revoked credential even when the revoke item fell in a recovery gap.
+  Supervisor(RecoveryConfig config, const RevocationLedger& revocations)
+      : config_(std::move(config)), revocations_(revocations) {}
 
   const RecoveryConfig& config() const { return config_; }
   SnapshotStore& store() { return store_; }
   const SnapshotStore& store() const { return store_; }
+  JournalStore& journal() { return journal_; }
+  const RevocationLedger& revocations() const { return revocations_; }
 
   void note_restart(RestartRecord rec);
   void note_quarantine(QuarantinedItem item);
@@ -128,14 +125,16 @@ class Supervisor {
 
  private:
   RecoveryConfig config_;
+  const RevocationLedger& revocations_;
   SnapshotStore store_;
+  JournalStore journal_;
   mutable std::mutex mu_;
   std::vector<RestartRecord> restarts_;
   std::vector<QuarantinedItem> quarantined_;
   std::vector<ResumePoint> resume_points_;
 };
 
-/// One shard's recovery state. Constructed before the worker starts; after
+/// One shard's crash bracket. Constructed before the worker starts; after
 /// that every member is touched only by the worker thread (the same
 /// ownership rule as the shard's homes), which is what keeps the whole
 /// recovery path TSan-clean. Holds its own copy of the shard's HomeSpecs and
@@ -151,40 +150,16 @@ class ShardSupervisor {
   /// the Shard constructor, before the worker thread exists.
   void attach(telemetry::Sink* sink);
 
-  /// The supervised item path (worker thread only): crash injection, retry/
-  /// restart/quarantine, journaling, snapshot cadence.
-  void process(Shard& shard, const FleetItem& item);
-
-  /// Supervised batch path (DESIGN.md §15), used by Shard::run only when
-  /// fault_active() is false: splits the batch into segments that end at the
-  /// first item whose home hits its snapshot cadence (cadence state is
-  /// frozen inside a segment, so the cut points are exactly where the
-  /// per-item loop would snapshot), hands each segment to
-  /// Shard::process_batch, then replays the per-item bookkeeping (ordinals,
-  /// journal) and snapshots at the boundary. Byte-identical to process()
-  /// per item. Organic (non-injected) exceptions propagate instead of
-  /// triggering a restart — the same behavior as an unsupervised shard.
-  void process_batch(Shard& shard, std::span<const FleetItem> items);
-
-  /// True when the configured fault plan can still inject a crash; batching
-  /// must stay per-item so the crash/retry bracket wraps the exact item.
-  bool fault_active() const { return injector_.plan().active(); }
+  /// The supervised item path (worker thread only): crash injection, then
+  /// HomeRuntime::process, with retry/restart/quarantine around it. Returns
+  /// false when the item was not applied (quarantined, or no such home).
+  bool process(Shard& shard, const FleetItem& item);
 
   // ---- post-stop introspection -------------------------------------------
   std::size_t restarts() const { return restarts_; }
   std::size_t quarantined_count() const { return quarantined_; }
-  std::size_t snapshots_taken() const { return snapshots_taken_; }
 
  private:
-  struct HomeState {
-    std::uint64_t processed = 0;  // this home's items applied to its proxy
-    double last_snapshot_ts = 0.0;
-    std::vector<std::pair<std::uint64_t, FleetItem>> journal;
-  };
-
-  HomeState& state_of(HomeId home);
-  void take_snapshot(Home& home, double sim_ts);
-  void maybe_snapshot(Shard& shard, const FleetItem& item);
   /// Rebuild + restore every home of this shard (see file comment).
   void restart_shard(Shard& shard, const FleetItem& crash_item,
                      std::uint64_t crash_ordinal, bool quarantining,
@@ -194,12 +169,11 @@ class ShardSupervisor {
   Supervisor* fleet_;
   std::vector<HomeSpec> specs_;  // sorted by id, parallel to shard homes
   core::HumannessVerifier humanness_;
+  HomeRuntime runtime_;
   sim::ShardFaultInjector injector_;
-  std::map<HomeId, HomeState> homes_;
   std::uint64_t shard_items_ = 0;  // shard-global on_item ordinal
   std::size_t restarts_ = 0;
   std::size_t quarantined_ = 0;
-  std::size_t snapshots_taken_ = 0;
   /// Crash attempts per (home, ordinal); keyed by ordinal, not item
   /// identity, so lossy-mode ordinal rewinds still converge to quarantine.
   std::map<std::pair<HomeId, std::uint64_t>, int> attempts_;
@@ -208,13 +182,6 @@ class ShardSupervisor {
   telemetry::Sink* sink_ = nullptr;
   telemetry::Counter* tm_restarts_ = nullptr;
   telemetry::Counter* tm_quarantined_ = nullptr;
-  telemetry::Counter* tm_snapshots_ = nullptr;
-  telemetry::Counter* tm_snapshots_rejected_ = nullptr;
-  telemetry::Counter* tm_restores_warm_ = nullptr;
-  telemetry::Counter* tm_restores_cold_ = nullptr;
-  telemetry::Counter* tm_gap_items_ = nullptr;
-  telemetry::Histogram* tm_snapshot_bytes_ = nullptr;
-  telemetry::Histogram* tm_snapshot_seconds_ = nullptr;
   telemetry::Histogram* tm_restore_seconds_ = nullptr;
 };
 

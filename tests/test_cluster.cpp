@@ -1,6 +1,6 @@
 // Cluster-tier suite (DESIGN.md §12): live home migration, whole-node
 // failover, the load-aware rebalancer, and the satellites that ride along
-// (SnapshotStore retention, restore_home generation fallback, CLI flag
+// (SnapshotStore retention, HomeRuntime::restore generation fallback, CLI flag
 // validation, the stats table's cluster columns).
 //
 // The headline invariants mirror test_recovery's: a run with clean live
@@ -20,7 +20,7 @@
 #include "fleet/cluster.hpp"
 #include "fleet/engine.hpp"
 #include "fleet/fleet_testbed.hpp"
-#include "fleet/migration.hpp"
+#include "fleet/home_runtime.hpp"
 #include "fleet/placement.hpp"
 #include "fleet/snapshot_store.hpp"
 #include "sim/faults.hpp"
@@ -322,7 +322,7 @@ TEST(Cluster, ConstructorRejectsImpossibleConfigs) {
                LogicError);
 }
 
-// ---- restore_home generation fallback (satellite: retention) ---------------
+// ---- HomeRuntime::restore generation fallback (retention) -------------------
 
 // A corrupt newest snapshot generation must fall back to the previous
 // retained generation — warm, with the home's state byte-identical to the
@@ -335,6 +335,9 @@ TEST(RestoreHome, CorruptNewestGenerationFallsBackWarm) {
   fleet::Home original(spec, humanness);
   fleet::SnapshotStore snapshots(3);
   fleet::JournalStore journal;
+  fleet::RevocationLedger revocations;
+  fleet::HomeRuntime runtime(humanness, snapshots, journal, revocations,
+                             /*snapshot_every=*/0.0, /*journal_on=*/false);
 
   std::uint64_t processed = 0;
   for (const auto& item : scenario.items) {
@@ -348,12 +351,10 @@ TEST(RestoreHome, CorruptNewestGenerationFallsBackWarm) {
   // The newer generation is garbage — a truncated disk write, say.
   snapshots.inject(spec.id, processed + 50, 1.0, util::Bytes(256, 0xee));
 
-  fleet::Home restored(spec, humanness);
   fleet::RestoreOptions opts;
-  opts.use_journal = false;
   opts.expected_ordinal = processed;
-  auto out = fleet::restore_home(restored, spec, humanness, snapshots, journal,
-                                 opts);
+  fleet::RestoreOutcome out;
+  fleet::Home restored = runtime.restore(spec, opts, out);
   EXPECT_TRUE(out.warm);
   EXPECT_EQ(out.generations_tried, 2u);  // rejected the corrupt one first
   EXPECT_EQ(out.resume_ordinal, processed);
@@ -376,12 +377,14 @@ TEST(RestoreHome, LossyColdRestoreForcesStrictBootstrap) {
 
   fleet::SnapshotStore snapshots;
   fleet::JournalStore journal;
-  fleet::Home home(spec, humanness);
+  fleet::RevocationLedger revocations;
+  fleet::HomeRuntime runtime(humanness, snapshots, journal, revocations,
+                             /*snapshot_every=*/0.0, /*journal_on=*/true);
   fleet::RestoreOptions opts;
   opts.expected_ordinal = 40;
   opts.now = 500.0;
-  auto out = fleet::restore_home(home, spec, humanness, snapshots, journal,
-                                 opts);
+  fleet::RestoreOutcome out;
+  runtime.restore(spec, opts, out);
   EXPECT_FALSE(out.warm);
   EXPECT_EQ(out.lost_items, 40u);
   EXPECT_EQ(out.resume_ordinal, 0u);

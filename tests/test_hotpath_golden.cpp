@@ -200,10 +200,12 @@ TEST(HotpathGolden, PerHomeProxyReportsAndTelemetryMatchLegacy) {
 }
 
 /// Full observable digest of an engine run: per-home report renderings, the
-/// merged AttackLedger, merged sim-domain telemetry (batch counters stripped
-/// — asserted separately via `fallbacks`), and the canonical signal bytes.
+/// fleet's ProxyCounters totals, the merged AttackLedger, merged sim-domain
+/// telemetry (batch counters stripped — asserted separately via
+/// `fallbacks`), and the canonical signal bytes.
 struct EngineRun {
   std::vector<std::string> homes;
+  core::ProxyCounters totals;
   std::string attack;
   std::string telemetry;
   util::Bytes signals;
@@ -228,6 +230,7 @@ EngineRun engine_run(const fleet::FleetScenario& scenario,
   for (const auto& home : report.homes) {
     run.homes.push_back(std::to_string(home.home) + "\n" + home.report.render());
   }
+  run.totals = report.totals;
   run.attack = ledger_digest(report.attack);
   auto metrics = engine.merged_metrics();
   run.telemetry = strip_batch_metrics(
@@ -338,29 +341,26 @@ TEST(HotpathGolden, FleetEngineBatchMatrixIsByteIdentical) {
 }
 
 TEST(HotpathGolden, SupervisedNoFaultBatchFastPathIsByteIdentical) {
-  // Fault-plan-none regression for the Shard::run fast path: with recovery
-  // armed but no fault scheduled, whole drained batches must still flow
-  // through process_batch (fallbacks > 0 proves the batch path engaged under
-  // supervision) and every observable byte must match the scalar engine.
+  // Supervised shards process item by item (the crash bracket and the
+  // journal wrap single items). With recovery armed but no fault scheduled,
+  // that scalar path must reproduce every report, counter and signal of the
+  // unsupervised batch engine.
   auto scenario = fleet::make_fleet_scenario(armed_config(false));
   auto humanness = core::HumannessVerifier::train_synthetic(42);
   fleet::RecoveryConfig recovery;
   recovery.enabled = true;
   recovery.snapshot_every = 300.0;
 
-  EngineRun batch = engine_run(scenario, humanness, 2, true, &recovery);
-  EngineRun scalar = engine_run(scenario, humanness, 2, false, &recovery);
+  EngineRun supervised = engine_run(scenario, humanness, 2, true, &recovery);
   EngineRun unsupervised = engine_run(scenario, humanness, 2, true);
-  EXPECT_EQ(batch.homes, scalar.homes);
-  EXPECT_EQ(batch.attack, scalar.attack);
-  EXPECT_EQ(batch.telemetry, scalar.telemetry);
-  EXPECT_EQ(batch.signals, scalar.signals);
-  EXPECT_GT(batch.fallbacks, 0u);
-  EXPECT_EQ(scalar.fallbacks, 0u);
-  // Supervision must not change what the batch pipeline sees: the fallback
-  // tally (segmentation-invariant by design) matches the unsupervised run.
-  EXPECT_EQ(batch.fallbacks, unsupervised.fallbacks);
-  EXPECT_EQ(batch.homes, unsupervised.homes);
+  EXPECT_EQ(supervised.homes, unsupervised.homes);
+  EXPECT_EQ(supervised.totals, unsupervised.totals);
+  EXPECT_EQ(supervised.attack, unsupervised.attack);
+  EXPECT_EQ(supervised.signals, unsupervised.signals);
+  // The batch flag is ignored under supervision; the unsupervised engine
+  // really took the batch path.
+  EXPECT_EQ(supervised.fallbacks, 0u);
+  EXPECT_GT(unsupervised.fallbacks, 0u);
 }
 
 }  // namespace

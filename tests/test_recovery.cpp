@@ -229,6 +229,39 @@ TEST(Recovery, CorruptSnapshotFallsBackToColdStart) {
   EXPECT_TRUE(victim_cold);
   // The run still produced a full report (every home present).
   EXPECT_EQ(report.homes.size(), scenario.homes.size());
+
+  // Retention 2: the restart walks generations newest-first, so a corrupt
+  // newest snapshot falls back to the valid one beneath it — warm — and the
+  // journal replays everything since, byte-identically to an uncrashed run.
+  config.recovery.journal = true;
+  fleet::FleetEngine retained(scenario.homes, humanness, config);
+  retained.supervisor()->store().set_retention(2);
+  fleet::Home fresh(scenario.homes[1], humanness);
+  retained.supervisor()->store().inject(
+      victim, /*ordinal=*/0, /*sim_ts=*/0.0,
+      core::encode_proxy_state(fresh.proxy(), victim));
+  retained.supervisor()->store().inject(victim, /*ordinal=*/250,
+                                        /*sim_ts=*/0.0, util::Bytes(512, 0xee));
+  retained.start();
+  for (const auto& item : scenario.items) retained.ingest(item);
+  retained.drain();
+  auto retained_report = retained.report();
+
+  EXPECT_EQ(retained_report.stats.restarts, 1u);
+  auto retained_metrics = retained.merged_metrics();
+  EXPECT_EQ(counter_of(retained_metrics, "fleet.snapshots_rejected"), 1u);
+  EXPECT_EQ(counter_of(retained_metrics, "fleet.recovery_gap_items"), 0u);
+  bool victim_warm = false;
+  for (const auto& rp : retained.supervisor()->resume_points()) {
+    if (rp.home == victim) {
+      victim_warm = rp.warm;
+      EXPECT_EQ(rp.lost_items, 0u);
+    }
+  }
+  EXPECT_TRUE(victim_warm);
+  fleet::FleetConfig baseline_config;
+  baseline_config.shards = 1;
+  expect_same_homes(run_fleet(scenario, baseline_config), retained_report);
 }
 
 // Lossy mode (journal off): recovery rewinds to the snapshot and the gap is
